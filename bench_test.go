@@ -576,7 +576,7 @@ func BenchmarkAblationOutputBatching(b *testing.B) {
 			go func() {
 				defer close(done)
 				for {
-					if cons.PollWait(64, 50*time.Millisecond) == nil {
+					if cons.PollWait(64, 50*time.Millisecond, nil) == nil {
 						return
 					}
 				}

@@ -157,7 +157,6 @@ func TestConnTimeDiffGroup(t *testing.T) {
 			t.Fatalf("load errors = %d", res.Errors)
 		}
 	}
-	time.Sleep(200 * time.Millisecond)
 	sess.Stop()
 
 	avgs := map[string]float64{}
@@ -207,7 +206,6 @@ func TestTopKEndToEnd(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("load errors = %d", res.Errors)
 	}
-	time.Sleep(200 * time.Millisecond)
 	sess.Stop()
 
 	var best []stream.RankEntry
@@ -326,7 +324,6 @@ func TestMultipleConcurrentSessions(t *testing.T) {
 	}
 
 	apps.RunHTTPLoad(e.Network(), client, apps.LoadConfig{Requests: 10, Target: server})
-	time.Sleep(200 * time.Millisecond)
 	s1.Stop()
 	s2.Stop()
 
@@ -382,7 +379,6 @@ func TestJoinGroupQuery(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("load errors = %d", res.Errors)
 	}
-	time.Sleep(250 * time.Millisecond)
 	sess.Stop()
 
 	sums := map[string]float64{}
@@ -423,7 +419,6 @@ func TestMultipleProcessorsOneQuery(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("load errors = %d", res.Errors)
 	}
-	time.Sleep(250 * time.Millisecond)
 	sess.Stop()
 
 	raw := 0
@@ -492,7 +487,6 @@ func TestSubnetAddressQuery(t *testing.T) {
 			t.Fatalf("load errors = %d", res.Errors)
 		}
 	}
-	time.Sleep(200 * time.Millisecond)
 	sess.Stop()
 
 	perDst := map[string]int{}
@@ -592,7 +586,7 @@ func (b *tupleBatch) batch() *tuple.Batch {
 func TestResultDeliveryDropsWhenSlow(t *testing.T) {
 	e := NewEngine(topology.MustNew(4), Config{ResultBuffer: 1})
 	defer e.Close()
-	s := &Session{results: make(chan tuple.Tuple, 1)}
+	s := &Session{results: newResultQueue(1)}
 	s.deliver(tuple.Tuple{Key: "a"})
 	s.deliver(tuple.Tuple{Key: "b"})
 	if s.ResultDrops() != 1 {

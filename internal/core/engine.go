@@ -25,7 +25,6 @@ import (
 	"netalytics/internal/stream"
 	"netalytics/internal/telemetry"
 	"netalytics/internal/topology"
-	"netalytics/internal/tuple"
 	"netalytics/internal/vnet"
 )
 
@@ -93,7 +92,10 @@ type Config struct {
 	PlacementParams placement.Params
 	// Seed drives placement randomness (default 1).
 	Seed int64
-	// ResultBuffer bounds each session's result channel (default 4096).
+	// ResultBuffer bounds how many results each session holds for a lagging
+	// consumer before dropping (default 4096): the result channel takes the
+	// first 4096, an overflow that is empty while the consumer keeps up the
+	// rest.
 	ResultBuffer int
 	// Metrics is the telemetry registry every pipeline layer reports into.
 	// Nil gets a fresh registry, so Engine.Metrics() is always usable.
@@ -354,7 +356,7 @@ func (e *Engine) SubmitQuery(q *query.Query) (*Session, error) {
 		ID:      id,
 		Query:   q,
 		engine:  e,
-		results: make(chan tuple.Tuple, e.cfg.ResultBuffer),
+		results: newResultQueue(e.cfg.ResultBuffer),
 		done:    make(chan struct{}),
 	}
 	if err := s.start(); err != nil {

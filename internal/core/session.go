@@ -20,8 +20,9 @@ import (
 	"netalytics/internal/tuple"
 )
 
-// drainTimeout bounds how long Stop waits for buffered aggregation data to
-// flow through the processing topology before halting it.
+// drainTimeout bounds how long Stop waits for data in flight: for buffered
+// aggregation data to flow through the processing topology before halting it,
+// and then for the consumer to take what the result overflow holds.
 const drainTimeout = 2 * time.Second
 
 // Session is one running query.
@@ -52,9 +53,8 @@ type Session struct {
 	slots    []*monitorSlot
 	restarts *telemetry.Counter // nfv_restarts{session=ID}
 
-	results     chan tuple.Tuple
-	resultDrops atomic.Uint64 // exported as session_result_drops{session=ID}
-	packets     atomic.Uint64 // frames delivered to monitors (all instances)
+	results *resultQueue  // its drops are exported as session_result_drops{session=ID}
+	packets atomic.Uint64 // frames delivered to monitors (all instances)
 
 	fbStop   chan struct{}
 	fbWG     sync.WaitGroup
@@ -62,10 +62,14 @@ type Session struct {
 	done     chan struct{}
 }
 
-// Results streams processed tuples to the caller. The channel closes when
-// the session stops. For top-k processors, decode entries with
-// stream.DecodeRankings.
-func (s *Session) Results() <-chan tuple.Tuple { return s.results }
+// Results streams processed tuples to the caller, in the order the topology
+// produced them. Up to Config.ResultBuffer results wait for a lagging
+// consumer; beyond that they are dropped and counted in ResultDrops. Stop
+// closes the channel after the last result — including the final window of
+// every windowed processor — has been queued; a consumer that has stopped
+// reading forfeits what the channel itself cannot hold. For top-k processors,
+// decode entries with stream.DecodeRankings.
+func (s *Session) Results() <-chan tuple.Tuple { return s.results.ch }
 
 // Done is closed when the session has fully stopped.
 func (s *Session) Done() <-chan struct{} { return s.done }
@@ -88,7 +92,7 @@ func (s *Session) Packets() uint64 {
 }
 
 // ResultDrops returns results discarded because the caller fell behind.
-func (s *Session) ResultDrops() uint64 { return s.resultDrops.Load() }
+func (s *Session) ResultDrops() uint64 { return s.results.drops.Load() }
 
 // monitorSlot is the durable record of one monitor placement: everything the
 // session needs to recreate the monitor and its mirror rules after a crash —
@@ -242,7 +246,7 @@ func (s *Session) start() error {
 	// TraceSampleEvery is resolved by Config.withDefaults (SamplePeriod
 	// contract): positive period or 0 for off.
 	s.tracer = telemetry.NewTracer(reg, e.cfg.TraceSampleEvery, sessLabel)
-	reg.GaugeFunc("session_result_drops", func() float64 { return float64(s.resultDrops.Load()) }, sessLabel)
+	reg.GaugeFunc("session_result_drops", func() float64 { return float64(s.ResultDrops()) }, sessLabel)
 
 	if e.cfg.SharedTaps && s.Query.Limit.Packets == 0 {
 		// Shared-tap control plane: attach to (or launch) the shared monitor
@@ -273,14 +277,13 @@ func (s *Session) start() error {
 		// first instead of all contending on ring 0 (no-op on legacy path).
 		var spoutSeq atomic.Uint64
 		spoutFactory := func() stream.Spout {
-			consumers := make([]stream.BatchPoller, len(topicsCopy))
+			consumers := make([]*mq.Consumer, len(topicsCopy))
 			hint := int(spoutSeq.Add(1) - 1)
 			for i, topic := range topicsCopy {
-				cs := e.mq.GroupConsumer(topic, group)
-				cs.SetShardAffinity(hint)
-				consumers[i] = cs
+				consumers[i] = e.mq.GroupConsumer(topic, group)
+				consumers[i].SetShardAffinity(hint)
 			}
-			return &multiSpout{pollers: consumers}
+			return &multiSpout{consumers: consumers}
 		}
 		topo, err := stream.BuildTopologyOpts(spec, spoutFactory, e.cfg.SpoutParallelism, s.deliver, e.cfg.TickInterval,
 			stream.TopologyOptions{
@@ -608,24 +611,27 @@ func (s *Session) allSamplersFloored() bool {
 	return true
 }
 
-// deliver pushes a processed tuple to the session's result channel,
-// dropping when the consumer lags. Traced tuples complete their latency
-// record here: delivery is the sink boundary.
+// deliver pushes a processed tuple to the session's result stream, dropping
+// when the consumer lags by more than Config.ResultBuffer. Traced tuples
+// complete their latency record here: delivery is the sink boundary.
 func (s *Session) deliver(t tuple.Tuple) {
 	if t.Trace != nil {
 		s.tracer.ObserveSink(t.Trace, time.Now().UnixNano())
 	}
-	select {
-	case s.results <- t:
-	default:
-		s.resultDrops.Add(1)
-	}
+	s.results.deliver(t)
 }
 
-// Stop tears the session down in pipeline order: uninstall mirror rules,
-// close taps, stop monitors (flushing final batches), drain the aggregation
-// topics through the processors, then halt the topologies and close the
-// result stream. Stop is idempotent and safe to call concurrently.
+// Stop tears the session down in pipeline order, each step waiting on the
+// event that ends it rather than on a timer: uninstall mirror rules, close
+// taps, stop monitors (every parser worker ships its last batch before its
+// monitor's Stop returns), wait until the processors' consumer groups have
+// taken everything the topics hold, halt the topologies (spouts wake from
+// their park and emit what they polled, then every bolt drains its queue and
+// flushes its windows in Cleanup, upstream before downstream, so the final
+// values are all delivered), and close the result stream once the consumer has
+// what the overflow held. Only a wedged topic or an absent consumer makes it
+// wait, for drainTimeout at most. Stop is idempotent and safe to call
+// concurrently.
 func (s *Session) Stop() {
 	s.stopOnce.Do(func() {
 		e := s.engine
@@ -646,7 +652,12 @@ func (s *Session) Stop() {
 		}
 		s.fbWG.Wait()
 
-		s.drainTopics()
+		deadline := time.Now().Add(drainTimeout)
+		for _, topic := range s.topics {
+			if !e.mq.WaitDrained(topic, time.Until(deadline)) {
+				break
+			}
+		}
 		for _, ex := range s.executors {
 			ex.Stop()
 		}
@@ -666,7 +677,7 @@ func (s *Session) Stop() {
 			s.finalTopics = final
 			s.failMu.Unlock()
 		}
-		close(s.results)
+		s.results.close(deadline)
 		close(s.done)
 
 		e.mu.Lock()
@@ -678,34 +689,6 @@ func (s *Session) Stop() {
 		// pointers the session still holds.
 		e.cfg.Metrics.DropLabeled("session", s.ID)
 	})
-}
-
-// drainTopics waits (bounded) for the processors to consume everything the
-// monitors shipped, so final windows include all data.
-func (s *Session) drainTopics() {
-	deadline := time.Now().Add(drainTimeout)
-	for time.Now().Before(deadline) {
-		drained := true
-		for _, topic := range s.topics {
-			st := s.engine.mq.Stats(topic)
-			if st.Buffered > 0 {
-				drained = false
-				break
-			}
-		}
-		if drained {
-			// One extra tick so windowed bolts flush downstream — capped so a
-			// long-tick deployment doesn't stall Stop for a whole window (the
-			// executors' Cleanup pass flushes final windows regardless).
-			extra := s.engine.cfg.TickInterval
-			if extra > 100*time.Millisecond {
-				extra = 100 * time.Millisecond
-			}
-			time.Sleep(extra)
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 }
 
 // routingSink routes monitor output batches to per-parser topics.
@@ -722,67 +705,44 @@ func (r *routingSink) Deliver(b *tuple.Batch) error {
 	return p.Send(b)
 }
 
-// multiSpout polls several topic consumers round-robin.
+// multiSpout reads all of a query's topics for one spout task.
 type multiSpout struct {
-	pollers []stream.BatchPoller
-	next    int
+	consumers []*mq.Consumer
+	next      int
+	// buf is the slice every poll is flattened into. The executor scatters
+	// a spout's tuples into its own sub-batch buffers before it calls the
+	// spout again (stream.Spout), so one buffer serves every poll; a fresh
+	// slice per poll was a third of the bytes the pipeline allocated.
+	buf []tuple.Tuple
 }
 
-// Next implements stream.Spout. The poll is the mq→stream boundary: any
-// traced tuples in the polled batches get their produce/consume stamps here
-// (cloned per consumer group, since batches are shared read-only).
+// Next implements stream.Spout, polling the consumers round-robin. The poll
+// is the mq→stream boundary: any traced tuples in the polled batches get
+// their produce/consume stamps here (cloned per consumer group, since batches
+// are shared read-only).
 func (m *multiSpout) Next() []tuple.Tuple {
-	for range m.pollers {
-		p := m.pollers[m.next%len(m.pollers)]
+	for range m.consumers {
+		cs := m.consumers[m.next%len(m.consumers)]
 		m.next++
-		if batches := p.Poll(16); len(batches) > 0 {
-			return flattenStamped(batches)
+		if batches := cs.Poll(16); len(batches) > 0 {
+			return m.flatten(batches)
 		}
 	}
 	return nil
 }
 
-// NextWait implements stream.WaitSpout: an idle executor parks here instead
-// of sleep-retrying Next. Each consumer gets a slice of the timeout; mq
-// consumers park in their wakeup-driven PollWait, so with the usual single
-// topic a new batch wakes the spout within a scheduler hop.
-func (m *multiSpout) NextWait(timeout time.Duration) []tuple.Tuple {
-	per := timeout
-	if len(m.pollers) > 1 {
-		per = timeout / time.Duration(len(m.pollers))
-		if per < time.Millisecond {
-			per = time.Millisecond
-		}
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		p := m.pollers[m.next%len(m.pollers)]
-		m.next++
-		if wp, ok := p.(stream.WaitPoller); ok {
-			if batches := wp.PollWait(16, per); len(batches) > 0 {
-				return flattenStamped(batches)
-			}
-		} else {
-			if batches := p.Poll(16); len(batches) > 0 {
-				return flattenStamped(batches)
-			}
-			time.Sleep(per)
-		}
-		if !time.Now().Before(deadline) {
-			return nil
-		}
-	}
+// NextWait implements stream.WaitSpout: an idle executor parks here, on all
+// the topics at once, so a batch on any of them — or the executor stopping —
+// wakes the spout within a scheduler hop.
+func (m *multiSpout) NextWait(stop <-chan struct{}, timeout time.Duration) []tuple.Tuple {
+	return m.flatten(mq.PollAny(m.consumers, 16, timeout, stop))
 }
 
-// flattenStamped copies polled batches into one tuple slice, stamping the
+// flatten copies polled batches into the spout's buffer, stamping the
 // ConsumeNS of any sampled traces at batch granularity (one clock read per
 // poll) with per-trace clones preserved by PropagateBatch.
-func flattenStamped(batches []*tuple.Batch) []tuple.Tuple {
-	n := 0
-	for _, b := range batches {
-		n += len(b.Tuples)
-	}
-	out := make([]tuple.Tuple, 0, n)
+func (m *multiSpout) flatten(batches []*tuple.Batch) []tuple.Tuple {
+	out := m.buf[:0]
 	var nowNS int64
 	for _, b := range batches {
 		start := len(out)
@@ -794,6 +754,7 @@ func flattenStamped(batches []*tuple.Batch) []tuple.Tuple {
 			telemetry.PropagateBatch(out[start:], b.ProduceNS, nowNS)
 		}
 	}
+	m.buf = out
 	return out
 }
 

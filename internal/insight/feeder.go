@@ -91,13 +91,19 @@ func (f *Feeder) Next() []tuple.Tuple {
 }
 
 // NextWait implements stream.WaitSpout: sleep toward the next snapshot
-// instead of spinning through Next.
-func (f *Feeder) NextWait(timeout time.Duration) []tuple.Tuple {
+// instead of spinning through Next, unless the executor stops first.
+func (f *Feeder) NextWait(stop <-chan struct{}, timeout time.Duration) []tuple.Tuple {
 	if wait := time.Until(f.nextAt); wait > 0 {
 		if wait > timeout {
 			wait = timeout
 		}
-		time.Sleep(wait)
+		timer := time.NewTimer(wait)
+		defer timer.Stop()
+		select {
+		case <-timer.C:
+		case <-stop:
+			return nil
+		}
 	}
 	return f.Next()
 }

@@ -139,10 +139,9 @@ func TestDemuxRateHookMaxOverSubscribers(t *testing.T) {
 func TestMonitorAddParsersLive(t *testing.T) {
 	sink := &memSink{}
 	m, err := New(Config{
-		Parsers:       []Factory{func() Parser { return &countParser{name: "a"} }},
-		Sink:          sink,
-		BatchSize:     1,
-		FlushInterval: 5 * time.Millisecond,
+		Parsers:   []Factory{func() Parser { return &countParser{name: "a"} }},
+		Sink:      sink,
+		BatchSize: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

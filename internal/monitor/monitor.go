@@ -14,9 +14,10 @@
 //   - Multi-level queuing: a collector queue feeds per-worker parser queues;
 //     dispatch is by flow hash, so stateful parsers see whole flows and need
 //     no locks.
-//   - Batching: tuples leave in per-parser batches, flushed by size or time.
-//     Each worker owns a private output shard, so the per-tuple emit path
-//     takes no shared lock.
+//   - Batching: tuples leave in per-parser batches, shipped when full or when
+//     the batch's first tuple has waited out the linger. Each worker owns a
+//     private output shard and its linger timer, so the emit path takes no
+//     lock at all.
 //   - Sampling: flows (not packets) are dropped early by hashing the
 //     canonical five-tuple against the sampling threshold.
 package monitor
@@ -37,14 +38,20 @@ import (
 
 // Defaults for Config fields left zero.
 const (
-	DefaultQueueDepth    = 4096
-	DefaultBatchSize     = 64
-	DefaultFlushInterval = 50 * time.Millisecond
+	DefaultQueueDepth = 4096
+	DefaultBatchSize  = 64
 	// DefaultBurstSize matches the rx_burst size DPDK drivers conventionally
 	// use (§5.1): big enough to amortize per-wakeup costs, small enough to
 	// keep latency and cache footprint low.
 	DefaultBurstSize = 32
 )
+
+// batchLinger bounds how long a non-full output batch may wait, counted from
+// its first tuple. It is a constant, not a knob: long enough that every
+// workload whose batches fill at all fills them first (64 tuples in 2 ms is
+// 32k tuples/s per worker), short enough that a lone tuple's wait stays below
+// the rest of the pipeline's latency.
+const batchLinger = 2 * time.Millisecond
 
 // ErrNoParsers is returned by New when the config names no parsers.
 var ErrNoParsers = errors.New("monitor: config has no parsers")
@@ -135,8 +142,6 @@ type Config struct {
 	WorkSteal bool
 	// BatchSize is the output batch size per parser.
 	BatchSize int
-	// FlushInterval bounds how long a non-full batch may wait.
-	FlushInterval time.Duration
 	// SampleRate in (0,1] is the initial fraction of flows admitted;
 	// 0 means 1.0 (no sampling).
 	SampleRate float64
@@ -192,7 +197,7 @@ type Monitor struct {
 	// refcount and fan-out use the same snapshot.
 	parsers atomic.Pointer[[]*parserRuntime]
 	out     *outputBatcher
-	pool       sync.Pool
+	pool    sync.Pool
 	// burstPool recycles the []*Packet group slices that carry bursts over
 	// worker channels; workers return each slice after releasing its
 	// descriptors.
@@ -306,9 +311,6 @@ func New(cfg Config) (*Monitor, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = DefaultFlushInterval
-	}
 	if cfg.SampleRate <= 0 || cfg.SampleRate > 1 {
 		cfg.SampleRate = 1
 	}
@@ -359,7 +361,7 @@ func New(cfg Config) (*Monitor, error) {
 		parsers = append(parsers, newParserRuntime(probe, factory, cfg))
 	}
 	m.parsers.Store(&parsers)
-	m.out = newOutputBatcher(cfg.BatchSize, cfg.FlushInterval, cfg.Sink)
+	m.out = newOutputBatcher(cfg.BatchSize, cfg.Sink)
 	m.out.tuples = cfg.Metrics.Counter("monitor_tuples", cfg.MetricLabels...)
 	m.out.batches = cfg.Metrics.Counter("monitor_batches", cfg.MetricLabels...)
 	m.out.sinkErrors = cfg.Metrics.Counter("monitor_sink_errors", cfg.MetricLabels...)
@@ -395,7 +397,7 @@ func (m *Monitor) putFrameSlice(s []rawFrame) {
 	m.framePool.Put(s[:0]) //nolint:staticcheck // slice header alloc amortized over the chunk
 }
 
-// Start launches the collector, parser workers and output flusher.
+// Start launches the collectors and parser workers.
 func (m *Monitor) Start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -404,7 +406,6 @@ func (m *Monitor) Start() {
 	}
 	m.started = true
 
-	m.out.start(&m.wg)
 	for _, rt := range *m.parsers.Load() {
 		m.startParserWorkers(rt)
 	}
@@ -430,9 +431,8 @@ func (m *Monitor) Start() {
 // parser runtime. Caller holds m.mu with m.started set.
 func (m *Monitor) startParserWorkers(rt *parserRuntime) {
 	for w := range rt.workers {
-		shard := m.out.newShard(rt.name) // register writer before launch
 		m.wg.Add(1)
-		go m.runWorker(rt, w, shard.emit)
+		go m.runWorker(rt, w, m.out.newShard(rt.name))
 	}
 }
 
@@ -914,41 +914,52 @@ func (m *Monitor) shutdownWorkers() {
 	}
 }
 
-func (m *Monitor) runWorker(rt *parserRuntime, idx int, emit EmitFunc) {
+// runWorker is one parser worker: it owns its parser instance, its output
+// shard and the shard's linger timer, so nothing on the emit path is shared.
+// It ships the shard when the linger of a non-full batch expires and at exit.
+func (m *Monitor) runWorker(rt *parserRuntime, idx int, shard *outputShard) {
 	defer m.wg.Done()
 	inst := rt.insts[idx]
-	for sl := range rt.workers[idx] {
-		for _, pkt := range sl {
-			inst.Handle(pkt, emit)
-			pkt.release()
+	emit := EmitFunc(shard.emit)
+	in := rt.workers[idx]
+	for {
+		select {
+		case sl, ok := <-in:
+			if !ok {
+				if fl, ok := inst.(Flusher); ok {
+					fl.Flush(emit)
+				}
+				shard.linger.Stop()
+				shard.flush()
+				return
+			}
+			for _, pkt := range sl {
+				inst.Handle(pkt, emit)
+				pkt.release()
+			}
+			m.putBurstSlice(sl)
+		case <-shard.linger.C:
+			// The fire may belong to a batch that has since shipped full (go.mod
+			// says go 1.22, so Reset leaves a fired value in the channel): then
+			// the shard is empty, or holds a younger batch that ships early.
+			shard.flush()
 		}
-		m.putBurstSlice(sl)
 	}
-	if fl, ok := inst.(Flusher); ok {
-		fl.Flush(emit)
-	}
-	m.out.workerDone()
 }
 
-// outputBatcher is the Output Interface of Fig. 3: it accumulates tuples in
-// per-worker shards and ships batches to the sink on size or time triggers.
-// The batcher itself holds no per-tuple state; its mutex guards only the
-// shard registry and writer count (cold paths).
+// outputBatcher is the Output Interface of Fig. 3: what the workers' output
+// shards share — batch size, sink, counters — and the shard registry the
+// per-parser counts are read from. Its mutex guards only that registry.
 type outputBatcher struct {
 	batchSize int
-	interval  time.Duration
 	sink      Sink
 	// tracer, when non-nil, samples tuples on the emit path for the
 	// stage-latency breakdown. It is left nil for a disabled tracer so the
 	// per-tuple cost of tracing-off is a single nil check.
 	tracer *telemetry.Tracer
 
-	mu      sync.Mutex
-	shards  []*outputShard
-	writers int
-
-	stop     chan struct{}
-	stopOnce sync.Once
+	mu     sync.Mutex
+	shards []*outputShard
 
 	// tuples counts tuples shipped to the sink. Registry-backed (like
 	// batches), so a failover replacement with the same labels resumes the
@@ -960,124 +971,84 @@ type outputBatcher struct {
 }
 
 // outputShard is one worker's private slice of the output interface. Only
-// the owning worker appends tuples and performs size-triggered flushes; the
-// periodic flusher steals pending tuples through the shard mutex, which is
-// uncontended in steady state (the owner holds it only around an append).
-// No lock is shared between shards, so parser workers never serialize on
-// the emit path.
+// the owning worker touches pending and linger: it appends, ships full
+// batches, arms the timer on a batch's first tuple and ships what is pending
+// when the timer fires. Arming at batch start rather than flushing whenever
+// the worker's queue idles means the timer never fires while batches fill
+// faster than the linger, so a loaded monitor ships full batches only.
 type outputShard struct {
 	parser string
 	out    *outputBatcher
 
-	mu      sync.Mutex
 	pending []tuple.Tuple
+	linger  *time.Timer
 
 	count atomic.Uint64 // tuples emitted through this shard
 }
 
-func newOutputBatcher(batchSize int, interval time.Duration, sink Sink) *outputBatcher {
+func newOutputBatcher(batchSize int, sink Sink) *outputBatcher {
 	return &outputBatcher{
 		batchSize:  batchSize,
-		interval:   interval,
 		sink:       sink,
-		stop:       make(chan struct{}),
 		tuples:     &telemetry.Counter{},
 		batches:    &telemetry.Counter{},
 		sinkErrors: &telemetry.Counter{},
 	}
 }
 
-func (o *outputBatcher) start(wg *sync.WaitGroup) {
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ticker := time.NewTicker(o.interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				o.flushAll()
-			case <-o.stop:
-				o.flushAll()
-				return
-			}
-		}
-	}()
-}
-
-// newShard registers one writer and returns its private output shard.
+// newShard returns a registered output shard for one worker of the parser,
+// its linger timer created stopped.
 func (o *outputBatcher) newShard(parser string) *outputShard {
-	s := &outputShard{parser: parser, out: o}
+	s := &outputShard{parser: parser, out: o, linger: time.NewTimer(time.Hour)}
+	s.linger.Stop()
 	o.mu.Lock()
 	o.shards = append(o.shards, s)
-	o.writers++
 	o.mu.Unlock()
 	return s
 }
 
-// emit appends one tuple to the shard, shipping a full batch without
-// touching any shared lock. Shipped slices are handed to the sink and never
-// reused, so sinks may retain them (the mq partition buffer does).
+// emit appends one tuple to the shard and ships the batch when it is full.
+// Shipped slices are handed to the sink and never reused, so sinks may
+// retain them (the mq partition buffer does).
 func (s *outputShard) emit(t tuple.Tuple) {
 	t.Parser = s.parser
 	s.count.Add(1)
 	if s.out.tracer != nil {
 		s.out.tracer.MaybeStamp(&t)
 	}
-	var full []tuple.Tuple
-	s.mu.Lock()
 	if s.pending == nil {
 		s.pending = make([]tuple.Tuple, 0, s.out.batchSize)
 	}
 	s.pending = append(s.pending, t)
-	if len(s.pending) >= s.out.batchSize {
-		full = s.pending
-		s.pending = nil
-	}
-	s.mu.Unlock()
-	if full != nil {
-		s.out.ship(s.parser, full)
+	switch len(s.pending) {
+	case s.out.batchSize: // first, so that a batch size of 1 ships at once
+		s.flush()
+	case 1:
+		s.linger.Reset(batchLinger)
 	}
 }
 
-// workerDone signals that one writer finished; when the last writer across
-// all parsers is done, the flusher is stopped.
-func (o *outputBatcher) workerDone() {
-	o.mu.Lock()
-	o.writers--
-	remaining := o.writers
-	o.mu.Unlock()
-	if remaining == 0 {
-		o.stopOnce.Do(func() { close(o.stop) })
+// flush ships whatever the shard holds. A running linger timer is left to
+// fire on the empty shard or be re-armed by the next batch's first tuple:
+// that is one timer operation per batch instead of two.
+func (s *outputShard) flush() {
+	if len(s.pending) == 0 {
+		return
 	}
-}
-
-func (o *outputBatcher) snapshotShards() []*outputShard {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.shards
+	pending := s.pending
+	s.pending = nil
+	s.out.ship(s.parser, pending)
 }
 
 func (o *outputBatcher) perParserCounts() map[string]uint64 {
+	o.mu.Lock()
+	shards := o.shards
+	o.mu.Unlock()
 	out := make(map[string]uint64)
-	for _, s := range o.snapshotShards() {
+	for _, s := range shards {
 		out[s.parser] += s.count.Load()
 	}
 	return out
-}
-
-// flushAll steals every shard's pending tuples and ships them. Called by
-// the periodic flusher and on stop.
-func (o *outputBatcher) flushAll() {
-	for _, s := range o.snapshotShards() {
-		s.mu.Lock()
-		pending := s.pending
-		s.pending = nil
-		s.mu.Unlock()
-		if len(pending) > 0 {
-			o.ship(s.parser, pending)
-		}
-	}
 }
 
 func (o *outputBatcher) ship(parser string, tuples []tuple.Tuple) {

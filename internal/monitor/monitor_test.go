@@ -98,10 +98,9 @@ func TestNewValidation(t *testing.T) {
 func TestEndToEnd(t *testing.T) {
 	sink := &memSink{}
 	m, err := New(Config{
-		Parsers:       []Factory{func() Parser { return &countParser{name: "count"} }},
-		Sink:          sink,
-		BatchSize:     4,
-		FlushInterval: 10 * time.Millisecond,
+		Parsers:   []Factory{func() Parser { return &countParser{name: "count"} }},
+		Sink:      sink,
+		BatchSize: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

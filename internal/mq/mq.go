@@ -350,7 +350,7 @@ func (p *partition) append(b *tuple.Batch, hint int) error {
 	p.topic.appended.Add(1)
 	p.topic.appendedTuples.Add(uint64(len(b.Tuples)))
 	p.topic.bytes.Add(uint64(size))
-	p.topic.signalData()
+	p.topic.data.signal()
 	return nil
 }
 
@@ -423,6 +423,7 @@ func (p *partition) pop(group string, hint int) *tuple.Batch {
 
 	p.topic.consumed.Add(1)
 	p.topic.consumedTuples.Add(uint64(len(b.Tuples)))
+	p.topic.drain.signal()
 	return b
 }
 
@@ -458,38 +459,57 @@ type topic struct {
 	// producers spread across the N rings before any claim contention.
 	nextShard atomic.Uint64
 
-	// Blocking-poll wakeup: PollWait parks on dataCh and append closes it,
-	// but only when someone is actually waiting — the waiters guard keeps
-	// the producer hot path at a single atomic load.
-	waiters atomic.Int32
-	dataMu  sync.Mutex
-	dataCh  chan struct{}
+	// data wakes consumers parked in PollWait/PollAny when a batch is
+	// appended; drain wakes WaitDrained callers when one is consumed.
+	data  wakeList
+	drain wakeList
 }
 
-// dataSignal returns the channel the next append will close. Consumers must
-// register in waiters before calling it and re-poll afterwards: an append
-// racing the registration may have found waiters still zero.
-func (t *topic) dataSignal() <-chan struct{} {
-	t.dataMu.Lock()
-	if t.dataCh == nil {
-		t.dataCh = make(chan struct{})
+// wakeList is the set of goroutines parked on a topic event. A waiter adds
+// its wake channel (capacity 1), re-checks its condition — a signal racing
+// the registration may have found the list still empty — and parks on the
+// channel; signal leaves a token in every registered channel. The count keeps
+// the signalling hot path at a single atomic load while nobody is parked.
+type wakeList struct {
+	n   atomic.Int32
+	mu  sync.Mutex
+	chs []chan struct{}
+}
+
+func (w *wakeList) add(ch chan struct{}) {
+	w.mu.Lock()
+	w.chs = append(w.chs, ch)
+	w.mu.Unlock()
+	w.n.Add(1)
+}
+
+func (w *wakeList) remove(ch chan struct{}) {
+	w.n.Add(-1)
+	w.mu.Lock()
+	for i, c := range w.chs {
+		if c == ch {
+			last := len(w.chs) - 1
+			w.chs[i] = w.chs[last]
+			w.chs[last] = nil
+			w.chs = w.chs[:last]
+			break
+		}
 	}
-	ch := t.dataCh
-	t.dataMu.Unlock()
-	return ch
+	w.mu.Unlock()
 }
 
-// signalData wakes parked PollWait callers after new data became visible.
-func (t *topic) signalData() {
-	if t.waiters.Load() == 0 {
+func (w *wakeList) signal() {
+	if w.n.Load() == 0 {
 		return
 	}
-	t.dataMu.Lock()
-	if t.dataCh != nil {
-		close(t.dataCh)
-		t.dataCh = nil
+	w.mu.Lock()
+	for _, ch := range w.chs {
+		select {
+		case ch <- struct{}{}:
+		default: // already holds a token
+		}
 	}
-	t.dataMu.Unlock()
+	w.mu.Unlock()
 }
 
 // Cluster is a set of brokers hosting topics.
@@ -779,6 +799,34 @@ func (c *Cluster) Stats(topicName string) TopicStats {
 	return st
 }
 
+// WaitDrained blocks until every consumer group has consumed everything
+// appended to the topic, or the timeout elapses, and reports whether the topic
+// drained. It parks on the topic's consume signal between checks. Unknown
+// topics are drained.
+func (c *Cluster) WaitDrained(topicName string, timeout time.Duration) bool {
+	c.mu.Lock()
+	t := c.topics[topicName]
+	c.mu.Unlock()
+	if t == nil || c.Stats(topicName).Buffered == 0 {
+		return true
+	}
+	wake := make(chan struct{}, 1)
+	t.drain.add(wake)
+	defer t.drain.remove(wake)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		if c.Stats(topicName).Buffered == 0 {
+			return true
+		}
+		select {
+		case <-wake:
+		case <-timer.C:
+			return c.Stats(topicName).Buffered == 0
+		}
+	}
+}
+
 // LockWaitNS returns the topic's legacy-path partition lock-wait histogram
 // (mq_partition_lock_wait_ns): how long producers and consumers stalled
 // acquiring partition locks. Always non-nil; empty on the sharded path.
@@ -844,6 +892,9 @@ type Consumer struct {
 	group    string
 	next     int
 	affinity int // shard scan start on the sharded ingest path
+	// wake is the channel the consumer parks on in PollAny, made on first
+	// use and registered with the topics only while parked.
+	wake chan struct{}
 }
 
 // SetShardAffinity gives the consumer a partition-to-core affinity hint: on
@@ -901,37 +952,65 @@ func (cs *Consumer) Poll(max int) []*tuple.Batch {
 	return out
 }
 
-// PollWait polls until at least one batch arrives or the timeout elapses
-// (returning nil). Waiting is wakeup-driven rather than poll-driven: the
-// consumer parks on the topic's data signal and the producer's append wakes
-// it, so an idle consumer costs nothing between batches and a new batch is
-// seen within a scheduler hop instead of a sleep quantum.
-func (cs *Consumer) PollWait(max int, timeout time.Duration) []*tuple.Batch {
-	if out := cs.Poll(max); len(out) > 0 {
-		return out
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for {
-		cs.t.waiters.Add(1)
-		sig := cs.t.dataSignal()
-		// Re-poll after registering: an append that raced the registration
-		// saw no waiters and skipped the signal.
-		if out := cs.Poll(max); len(out) > 0 {
-			cs.t.waiters.Add(-1)
-			return out
-		}
-		select {
-		case <-sig:
-			cs.t.waiters.Add(-1)
-			// Another consumer in the group may have taken the batch; loop
-			// and park again if so.
+// PollWait polls until at least one batch arrives, the timeout elapses or
+// stop is closed (returning nil in the last two cases; a nil stop never
+// fires). Waiting is wakeup-driven rather than poll-driven: the consumer
+// parks on the topic's data signal and the producer's append wakes it, so an
+// idle consumer costs nothing between batches and a new batch is seen within
+// a scheduler hop instead of a sleep quantum.
+func (cs *Consumer) PollWait(max int, timeout time.Duration, stop <-chan struct{}) []*tuple.Batch {
+	return PollAny([]*Consumer{cs}, max, timeout, stop)
+}
+
+// PollAny is PollWait over several consumers owned by one goroutine, which
+// is how a spout reads all of a query's topics: the consumers are polled in
+// order and, while none has data, the caller parks on all of their topics at
+// once, so a batch on any of them is returned within a scheduler hop however
+// idle the others are.
+func PollAny(consumers []*Consumer, max int, timeout time.Duration, stop <-chan struct{}) []*tuple.Batch {
+	poll := func() []*tuple.Batch {
+		for _, cs := range consumers {
 			if out := cs.Poll(max); len(out) > 0 {
 				return out
 			}
+		}
+		return nil
+	}
+	if out := poll(); len(out) > 0 {
+		return out
+	}
+	first := consumers[0]
+	if first.wake == nil {
+		first.wake = make(chan struct{}, 1)
+	}
+	wake := first.wake
+	select {
+	case <-wake: // token left over from the last park
+	default:
+	}
+	for _, cs := range consumers {
+		cs.t.data.add(wake)
+	}
+	defer func() {
+		for _, cs := range consumers {
+			cs.t.data.remove(wake)
+		}
+	}()
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		// Poll after registering: an append that raced the registration saw
+		// nobody parked and skipped the signal. After a wake-up another
+		// consumer of the group may have taken the batch; park again if so.
+		if out := poll(); len(out) > 0 {
+			return out
+		}
+		select {
+		case <-wake:
+		case <-stop:
+			return nil
 		case <-timer.C:
-			cs.t.waiters.Add(-1)
-			return cs.Poll(max)
+			return poll()
 		}
 	}
 }

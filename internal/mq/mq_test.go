@@ -228,7 +228,7 @@ func TestPollWait(t *testing.T) {
 	prod := c.Producer("t")
 
 	start := time.Now()
-	if got := cons.PollWait(1, 30*time.Millisecond); got != nil {
+	if got := cons.PollWait(1, 30*time.Millisecond, nil); got != nil {
 		t.Errorf("PollWait on empty topic = %v", got)
 	}
 	if time.Since(start) < 25*time.Millisecond {
@@ -236,7 +236,7 @@ func TestPollWait(t *testing.T) {
 	}
 
 	done := make(chan []*tuple.Batch, 1)
-	go func() { done <- cons.PollWait(1, time.Second) }()
+	go func() { done <- cons.PollWait(1, time.Second, nil) }()
 	time.Sleep(5 * time.Millisecond)
 	if err := prod.Send(batchOf(1)); err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestPollWaitWakeupPrompt(t *testing.T) {
 
 	for round := 0; round < 3; round++ {
 		done := make(chan []*tuple.Batch, 1)
-		go func() { done <- cons.PollWait(1, 10*time.Second) }()
+		go func() { done <- cons.PollWait(1, 10*time.Second, nil) }()
 		time.Sleep(10 * time.Millisecond) // let the consumer park
 		sent := time.Now()
 		if err := prod.Send(batchOf(1)); err != nil {
@@ -279,8 +279,125 @@ func TestPollWaitWakeupPrompt(t *testing.T) {
 			t.Fatalf("round %d: PollWait never woke after Send", round)
 		}
 	}
-	if w := c.getTopic("w").waiters.Load(); w != 0 {
-		t.Errorf("waiters = %d after all waits returned, want 0", w)
+	if w := c.getTopic("w").data.n.Load(); w != 0 {
+		t.Errorf("parked consumers = %d after all waits returned, want 0", w)
+	}
+}
+
+// TestPollAnyParksOnEveryTopic is the multi-topic spout's wait: with topic A
+// empty, a batch produced on topic B must come back at once, not after A's
+// share of the timeout — and the same the other way round.
+func TestPollAnyParksOnEveryTopic(t *testing.T) {
+	c := NewCluster(1, Config{})
+	consumers := []*Consumer{c.GroupConsumer("a", "g"), c.GroupConsumer("b", "g")}
+	for round, topic := range []string{"b", "a", "b"} {
+		prod := c.Producer(topic)
+		type polled struct {
+			batches []*tuple.Batch
+			at      time.Time
+		}
+		done := make(chan polled, 1)
+		go func() {
+			got := PollAny(consumers, 16, 10*time.Second, nil)
+			done <- polled{got, time.Now()}
+		}()
+		for c.getTopic("a").data.n.Load() == 0 || c.getTopic("b").data.n.Load() == 0 {
+			time.Sleep(100 * time.Microsecond) // until parked on both
+		}
+		sent := time.Now()
+		if err := prod.Send(batchOf(3)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case got := <-done:
+			if len(got.batches) != 1 || len(got.batches[0].Tuples) != 3 {
+				t.Fatalf("round %d: PollAny = %v, want the batch sent on %q", round, got.batches, topic)
+			}
+			if lat := got.at.Sub(sent); lat > 2*time.Millisecond {
+				t.Errorf("round %d: batch on %q seen after %v, want < 2ms", round, topic, lat)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("round %d: PollAny never woke for a batch on %q", round, topic)
+		}
+	}
+	for _, topic := range []string{"a", "b"} {
+		if w := c.getTopic(topic).data.n.Load(); w != 0 {
+			t.Errorf("topic %q: parked consumers = %d after all waits returned, want 0", topic, w)
+		}
+	}
+}
+
+// TestPollWaitStop checks that closing stop releases a parked consumer at
+// once, with nothing polled.
+func TestPollWaitStop(t *testing.T) {
+	c := NewCluster(1, Config{})
+	cons := c.Consumer("t")
+	stop := make(chan struct{})
+	done := make(chan []*tuple.Batch, 1)
+	go func() { done <- cons.PollWait(1, 10*time.Second, stop) }()
+	for c.getTopic("t").data.n.Load() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(stop)
+	select {
+	case got := <-done:
+		if got != nil {
+			t.Errorf("PollWait after stop = %v, want nil", got)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("PollWait did not return when stop closed")
+	}
+}
+
+// TestWaitDrained checks the Stop-side wait: it returns true as soon as the
+// slowest group has consumed everything appended, false on timeout with a
+// backlog left, and true for a topic that does not exist.
+func TestWaitDrained(t *testing.T) {
+	c := NewCluster(1, Config{})
+	if !c.WaitDrained("nope", time.Millisecond) {
+		t.Error("unknown topic not drained")
+	}
+	fast, slow := c.GroupConsumer("t", "fast"), c.GroupConsumer("t", "slow")
+	prod := c.Producer("t")
+	for i := 0; i < 4; i++ {
+		if err := prod.Send(batchOf(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(fast.Poll(16)); got != 4 {
+		t.Fatalf("fast group polled %d, want 4", got)
+	}
+	start := time.Now()
+	if c.WaitDrained("t", 20*time.Millisecond) {
+		t.Error("drained with the slow group 4 batches behind")
+	}
+	if time.Since(start) < 15*time.Millisecond {
+		t.Error("WaitDrained gave up before its timeout")
+	}
+	done := make(chan bool, 1)
+	go func() { done <- c.WaitDrained("t", 10*time.Second) }()
+	for c.getTopic("t").drain.n.Load() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if got := len(slow.Poll(3)); got != 3 {
+		t.Fatalf("slow group polled %d, want 3", got)
+	}
+	select {
+	case <-done:
+		t.Fatal("drained with one batch still unconsumed")
+	case <-time.After(5 * time.Millisecond):
+	}
+	slow.Poll(1)
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Error("WaitDrained = false after the last batch was consumed")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("WaitDrained never woke after the last batch was consumed")
+	}
+	if w := c.getTopic("t").drain.n.Load(); w != 0 {
+		t.Errorf("drain waiters = %d after WaitDrained returned, want 0", w)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -315,7 +316,7 @@ type waitOnlySpout struct {
 
 func (s *waitOnlySpout) Next() []tuple.Tuple { return nil }
 
-func (s *waitOnlySpout) NextWait(timeout time.Duration) []tuple.Tuple {
+func (s *waitOnlySpout) NextWait(stop <-chan struct{}, timeout time.Duration) []tuple.Tuple {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.waits++
@@ -361,6 +362,55 @@ func TestWaitSpoutUsedWhenIdle(t *testing.T) {
 	ex.Stop()
 	if fed, waits := spout.stats(); !fed || waits == 0 {
 		t.Fatalf("NextWait never used (fed=%v waits=%d)", fed, waits)
+	}
+}
+
+// parkedSpout never has data and parks until the executor stops: its
+// NextWait ignores the timeout, so Executor.Stop can only return if the
+// executor hands the spout its stop channel and closes it.
+type parkedSpout struct {
+	parked  chan struct{} // closed on the first park
+	once    sync.Once
+	stopped atomic.Bool
+}
+
+func (s *parkedSpout) Next() []tuple.Tuple { return nil }
+
+func (s *parkedSpout) NextWait(stop <-chan struct{}, timeout time.Duration) []tuple.Tuple {
+	s.once.Do(func() { close(s.parked) })
+	<-stop
+	s.stopped.Store(true)
+	return nil
+}
+
+// TestStopWakesParkedSpout checks that Stop does not wait out a spout's park:
+// the executor's stop channel reaches NextWait, and closing it releases the
+// spout.
+func TestStopWakesParkedSpout(t *testing.T) {
+	spout := &parkedSpout{parked: make(chan struct{})}
+	topo := NewTopology("park")
+	if err := topo.AddSpout("src", func() Spout { return spout }, 1); err != nil {
+		t.Fatal(err)
+	}
+	sink := func() Bolt { return NewCallbackBolt(func(tuple.Tuple) {}) }
+	if err := topo.AddBolt("sink", sink, 1).ShuffleFrom("src").Err(); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := NewExecutor(topo, WithTickInterval(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.Start()
+	<-spout.parked
+	done := make(chan struct{})
+	go func() { ex.Stop(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop did not wake the spout parked in NextWait")
+	}
+	if !spout.stopped.Load() {
+		t.Error("Stop returned without the spout having seen the stop signal")
 	}
 }
 

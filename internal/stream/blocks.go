@@ -754,7 +754,7 @@ type BatchPoller interface {
 // returning empty; *mq.Consumer satisfies it via its wakeup-driven PollWait.
 type WaitPoller interface {
 	BatchPoller
-	PollWait(max int, timeout time.Duration) []*tuple.Batch
+	PollWait(max int, timeout time.Duration, stop <-chan struct{}) []*tuple.Batch
 }
 
 // FlattenBatches copies polled batches into one contiguous tuple slice —
@@ -797,9 +797,9 @@ func (s *KafkaSpout) Next() []tuple.Tuple {
 // NextWait implements WaitSpout: when the poller supports blocking polls
 // (mq consumers do) the spout parks in it; otherwise it falls back to a
 // short sleep-then-poll so behavior degrades to the old retry loop.
-func (s *KafkaSpout) NextWait(timeout time.Duration) []tuple.Tuple {
+func (s *KafkaSpout) NextWait(stop <-chan struct{}, timeout time.Duration) []tuple.Tuple {
 	if wp, ok := s.poller.(WaitPoller); ok {
-		return FlattenBatches(wp.PollWait(s.max, timeout))
+		return FlattenBatches(wp.PollWait(s.max, timeout, stop))
 	}
 	if timeout > time.Millisecond {
 		timeout = time.Millisecond

@@ -37,8 +37,10 @@ const DefaultQueueDepth = 1024
 // are already amortized while queueing latency keeps growing.
 const DefaultBatchSize = 32
 
-// spoutWaitQuantum bounds how long a WaitSpout may park per NextWait call so
-// the executor still observes Stop promptly while the topology idles.
+// spoutWaitQuantum bounds how long a WaitSpout parks per NextWait call before
+// the executor polls it again, for sources whose data can become visible
+// without a wake-up (an mq partition returning from a fault). Stop does not
+// wait for it: NextWait also returns when the executor's stop channel closes.
 const spoutWaitQuantum = 20 * time.Millisecond
 
 // Engine errors.
@@ -54,7 +56,9 @@ var (
 type EmitFunc func(t tuple.Tuple)
 
 // Spout is a data source. Next returns the next available tuples, or nil
-// when none are ready (the executor backs off before retrying).
+// when none are ready (the executor backs off before retrying). The executor
+// has copied the tuples out of the returned slice by the time it calls the
+// spout again, so a spout may reuse one slice for every call.
 type Spout interface {
 	Next() []tuple.Tuple
 }
@@ -63,10 +67,11 @@ type Spout interface {
 // data arrives (mq-backed spouts use Consumer.PollWait). When Next returns
 // nothing the executor parks in NextWait instead of sleep-retrying, so idle
 // topologies stop burning periodic wakeups. NextWait must return — possibly
-// with no tuples — within roughly the given timeout.
+// with no tuples — within roughly the given timeout, and at once when stop
+// is closed (the executor is stopping).
 type WaitSpout interface {
 	Spout
-	NextWait(timeout time.Duration) []tuple.Tuple
+	NextWait(stop <-chan struct{}, timeout time.Duration) []tuple.Tuple
 }
 
 // SpoutFunc adapts a function to the Spout interface.
@@ -635,7 +640,7 @@ func (e *Executor) runSpout(n *nodeDecl, spout Spout, em *emitter) {
 		// then short growing sleeps, or the spout's own blocking wait.
 		em.flush()
 		if canWait {
-			if batch := ws.NextWait(spoutWaitQuantum); len(batch) > 0 {
+			if batch := ws.NextWait(e.spoutStop, spoutWaitQuantum); len(batch) > 0 {
 				em.emitBatch(batch)
 				idle = 0
 			}
